@@ -31,10 +31,9 @@ from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 from repro.collectives import wire
 from repro.collectives.plan import TreePlan, binomial_tree, op_by_code
 from repro.common.errors import FirmwareError
-from repro.firmware.base import fw_send, register_msg_handler
+from repro.firmware.base import fw_send_to, register_msg_handler
 from repro.firmware.proto import MSG_COLL_DOWN, MSG_COLL_REQ, MSG_COLL_UP
-from repro.niu.niu import (SP_SERVICE_QUEUE, SP_TX_GENERAL,
-                           needs_raw_addressing, vdst_for)
+from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -64,9 +63,6 @@ class CollectiveState:
     def __init__(self, plan: TreePlan) -> None:
         plan.validate()
         self.plan = plan
-        #: beyond 16 nodes the firmware addresses peers with kernel-mode
-        #: RAW headers (see :func:`repro.niu.niu.needs_raw_addressing`)
-        self.wide = needs_raw_addressing(plan.n)
         self.pending: Dict[Tuple[int, int], _Pending] = {}
 
 
@@ -116,18 +112,6 @@ def _state(sp: "ServiceProcessor") -> CollectiveState:
     if st is None:
         raise FirmwareError(f"{sp.name}: collective firmware not installed")
     return st
-
-
-def _coll_send(sp: "ServiceProcessor", st: CollectiveState, node: int,
-               queue: int, payload: bytes
-               ) -> Generator["Event", None, None]:
-    """One firmware message to (node, logical queue), wide-safe."""
-    if st.wide:
-        yield from fw_send(sp, node, payload, queue=SP_TX_GENERAL,
-                           raw_queue=queue)
-    else:
-        yield from fw_send(sp, vdst_for(node, queue), payload,
-                           queue=SP_TX_GENERAL)
 
 
 def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
@@ -199,7 +183,7 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
                             msg.seq, pend.root, pend.reply_queue, pend.tag,
                             data)
         parent = st.plan.parent[me]
-        yield from _coll_send(sp, st, parent, SP_SERVICE_QUEUE, up)
+        yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
     # fully combined at the root
     sp.stats.counter(f"{sp.name}.coll_completed").incr()
@@ -219,7 +203,7 @@ def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
     for child in st.plan.children[me]:
         down = wire.pack_coll(MSG_COLL_DOWN, kind, 0, comm, seq,
                               st.plan.root, reply_queue, tag, data)
-        yield from _coll_send(sp, st, child, SP_SERVICE_QUEUE, down)
+        yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, down)
     yield from _deliver(sp, st, tag, reply_queue, data)
 
 
@@ -229,5 +213,5 @@ def _deliver(sp: "ServiceProcessor", st: CollectiveState, tag: int,
     """Hand the result to the local aP as one mini-MPI fragment."""
     frag = (tag.to_bytes(2, "big") + len(data).to_bytes(4, "big")
             + (0).to_bytes(4, "big") + data)
-    yield from _coll_send(sp, st, sp.node_id, reply_queue, frag)
+    yield from fw_send_to(sp, sp.node_id, reply_queue, frag)
     sp.stats.counter(f"{sp.name}.coll_delivered").incr()

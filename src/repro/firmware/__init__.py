@@ -74,7 +74,7 @@ def install_default_firmware(node, n_nodes: int,
             (line // lines_per_page) % n_nodes for line in range(n_lines)
         ]
     setup_scoma(sp, scoma_home_of)
-    setup_reliable(sp, n_nodes)
+    setup_reliable(sp)
     # the CollectiveUnit (lazy import: repro.collectives builds on this
     # package's primitives)
     from repro.collectives.firmware import setup_collectives

@@ -4,6 +4,8 @@ Provides the timed primitives firmware handlers compose:
 
 * :func:`fw_send` — compose and launch a message through a CTRL command
   queue (the ordered firmware send path);
+* :func:`fw_send_to` — :func:`fw_send` addressed by (node, logical
+  queue), choosing byte-vdst or RAW addressing from the machine size;
 * :func:`fw_recv_all` — drain an sP-owned receive queue from sSRAM;
 * :func:`fw_dram_read` / :func:`fw_dram_write` — move DRAM data through
   the in-order command stream with a CmdCall completion fence;
@@ -36,7 +38,7 @@ from repro.niu.msgformat import (
     MsgHeader,
     decode_rx_header,
 )
-from repro.niu.niu import SP_TX_GENERAL
+from repro.niu.niu import SP_TX_GENERAL, needs_raw_addressing, vdst_for
 from repro.niu.queues import BANK_S
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,6 +92,22 @@ def fw_send(
     yield from sp.sbiu.enqueue_command(
         LOCAL_CMDQ_0, CmdSendMessage(queue=queue, header=hdr, payload=payload)
     )
+
+
+def fw_send_to(sp: "ServiceProcessor", node: int, queue: int, payload: bytes,
+               tx: int = SP_TX_GENERAL) -> Generator["Event", None, None]:
+    """Send one firmware message to (``node``, logical ``queue``).
+
+    Up to 16 nodes the destination is a translated byte vdst; beyond, the
+    header carries the node and queue as kernel-mode RAW addressing (see
+    :func:`~repro.niu.niu.needs_raw_addressing`).  ``tx`` is the sP
+    transmit queue — ``SP_TX_PROTOCOL`` for messages that must overtake
+    the data they concern.
+    """
+    if needs_raw_addressing(sp.ctrl.config.n_nodes):
+        yield from fw_send(sp, node, payload, queue=tx, raw_queue=queue)
+    else:
+        yield from fw_send(sp, vdst_for(node, queue), payload, queue=tx)
 
 
 def fw_recv_all(sp: "ServiceProcessor", logical: int

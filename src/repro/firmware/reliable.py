@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Generator, Tuple
 
 from repro.common.errors import FirmwareError
 from repro.firmware.base import (
-    fw_send,
+    fw_send_to,
     register_msg_handler,
     register_queue_dispatcher,
 )
@@ -62,10 +62,7 @@ from repro.niu.niu import (
     SP_PROTOCOL_QUEUE,
     SP_REL_QUEUE,
     SP_REL_TX_QUEUE,
-    SP_TX_GENERAL,
     SP_TX_PROTOCOL,
-    needs_raw_addressing,
-    vdst_for,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,11 +108,10 @@ class _Flow:
 class ReliableState:
     """Per-node reliability firmware state."""
 
-    def __init__(self, n_nodes: int) -> None:
+    def __init__(self) -> None:
         self.flows: Dict[int, _Flow] = {}
         #: receiver side: next expected seq per source node.
         self.rx_expected: Dict[int, int] = {}
-        self.wide = needs_raw_addressing(n_nodes)
 
     def flow(self, dst: int, rto: float) -> _Flow:
         f = self.flows.get(dst)
@@ -124,9 +120,9 @@ class ReliableState:
         return f
 
 
-def setup_reliable(sp: "ServiceProcessor", n_nodes: int) -> None:
+def setup_reliable(sp: "ServiceProcessor") -> None:
     """Install the reliable-delivery engine on one node's sP."""
-    sp.state["rel"] = ReliableState(n_nodes)
+    sp.state["rel"] = ReliableState()
     register_msg_handler(sp, MSG_REL_DATA, on_rel_data)
     register_msg_handler(sp, MSG_REL_ACK, on_rel_ack)
     register_queue_dispatcher(sp, SP_REL_TX_QUEUE, rel_tx_dispatcher)
@@ -137,7 +133,7 @@ def ensure_reliable(machine) -> None:
     """Install the reliable engine cluster-wide where missing."""
     for node in machine.nodes:
         if "rel" not in node.sp.state:
-            setup_reliable(node.sp, machine.config.n_nodes)
+            setup_reliable(node.sp)
 
 
 def _state(sp: "ServiceProcessor") -> ReliableState:
@@ -145,20 +141,6 @@ def _state(sp: "ServiceProcessor") -> ReliableState:
     if st is None:
         raise FirmwareError(f"{sp.name}: reliable firmware not installed")
     return st
-
-
-def _rel_send(sp: "ServiceProcessor", st: ReliableState, node: int,
-              queue: int, payload: bytes, protocol: bool = False
-              ) -> Generator["Event", None, None]:
-    """One firmware message to (node, logical queue), wide-safe.
-
-    ``protocol=True`` rides the high-priority protocol transmit queue
-    (acks must overtake the data they acknowledge)."""
-    tx = SP_TX_PROTOCOL if protocol else SP_TX_GENERAL
-    if st.wide:
-        yield from fw_send(sp, node, payload, queue=tx, raw_queue=queue)
-    else:
-        yield from fw_send(sp, vdst_for(node, queue), payload, queue=tx)
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +193,8 @@ def _send_segment(sp: "ServiceProcessor", st: ReliableState, flow: _Flow,
     if san is not None:
         san.on_rel_tx(sp, flow)
     sp.stats.counter(f"{sp.name}.rel.segments").incr()
-    yield from _rel_send(sp, st, flow.dst, SP_REL_QUEUE,
-                         pack_rel_data(dst_queue, seq) + user)
+    yield from fw_send_to(sp, flow.dst, SP_REL_QUEUE,
+                          pack_rel_data(dst_queue, seq) + user)
     if not flow.timer_armed:
         _arm_timer(sp, flow)
 
@@ -245,8 +227,8 @@ def on_rel_timer(sp: "ServiceProcessor", event: Tuple
     for seq, dst_queue, user in tuple(flow.pending):
         flow.retransmits += 1
         sp.stats.counter(f"{sp.name}.rel.retransmits").incr()
-        yield from _rel_send(sp, st, dst_node, SP_REL_QUEUE,
-                             pack_rel_data(dst_queue, seq) + user)
+        yield from fw_send_to(sp, dst_node, SP_REL_QUEUE,
+                              pack_rel_data(dst_queue, seq) + user)
     cfg = sp.ctrl.config.reliability
     flow.rto = min(flow.rto * cfg.backoff, cfg.max_timeout_ns)
     _arm_timer(sp, flow)
@@ -314,5 +296,6 @@ def on_rel_data(sp: "ServiceProcessor", src: int, payload: bytes
         # a gap: go-back-N receivers hold no reorder buffer, so drop and
         # dup-ack; the sender's timer replays the window in order
         sp.stats.counter(f"{sp.name}.rel.out_of_order").incr()
-    yield from _rel_send(sp, st, src, SP_PROTOCOL_QUEUE, pack_rel_ack(expected),
-                         protocol=True)
+    # acks ride the protocol tx queue: they must overtake the data
+    yield from fw_send_to(sp, src, SP_PROTOCOL_QUEUE, pack_rel_ack(expected),
+                          tx=SP_TX_PROTOCOL)

@@ -51,7 +51,7 @@ from repro.firmware import proto
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
-    fw_send,
+    fw_send_to,
     register_msg_handler,
 )
 from repro.niu.clssram import CLS_INVALID, CLS_RO, CLS_RW
@@ -64,8 +64,6 @@ from repro.niu.commands import (
 from repro.niu.niu import (
     SP_PROTOCOL_QUEUE,
     SP_TX_PROTOCOL,
-    needs_raw_addressing,
-    vdst_for,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,20 +88,16 @@ GRANT_PRESERVES_HOME_STORES = True
 class ScomaState:
     """Per-node S-COMA firmware state."""
 
-    __slots__ = ("home_of", "scoma_base", "line_bytes", "staging", "dir",
-                 "wide")
+    __slots__ = ("home_of", "scoma_base", "line_bytes", "staging", "dir")
 
     def __init__(self, home_of: List[int], scoma_base: int, line_bytes: int,
-                 staging: int, node_id: int, wide: bool = False) -> None:
+                 staging: int, node_id: int) -> None:
         self.home_of = home_of
         self.scoma_base = scoma_base
         self.line_bytes = line_bytes
         self.staging = staging
         #: this node's directory controller (lines it is home for).
         self.dir = DirectoryController(node_id)
-        #: kernel-mode RAW addressing (machines beyond the 16-node
-        #: byte-vdst translation convention).
-        self.wide = wide
 
     @property
     def directory(self):
@@ -125,11 +119,8 @@ def setup_scoma(sp: "ServiceProcessor", home_of: List[int]) -> None:
     niu = sp.state["niu"]
     cls = niu.cls
     staging = niu.alloc_ssram(64)
-    node = sp.state.get("node")
-    n_nodes = (node.config.n_nodes if node is not None
-               else max(home_of, default=0) + 1)
     st = ScomaState(home_of, cls.cover_base, cls.line_bytes, staging,
-                    sp.node_id, wide=needs_raw_addressing(n_nodes))
+                    sp.node_id)
     sp.state["scoma"] = st
     for line, home in enumerate(home_of):
         cls.set_state(line, CLS_RW if home == sp.node_id else CLS_INVALID)
@@ -141,19 +132,6 @@ def setup_scoma(sp: "ServiceProcessor", home_of: List[int]) -> None:
     register_msg_handler(sp, proto.MSG_SCOMA_WBREQ, handle_writeback_req)
     register_msg_handler(sp, proto.MSG_SCOMA_WBDATA, handle_writeback_data)
     install_eviction(sp)
-
-
-def _send_proto(sp: "ServiceProcessor", dst: int, payload: bytes
-                ) -> Generator["Event", None, None]:
-    """Send one protocol message to ``dst``'s SP_PROTOCOL_QUEUE (always
-    the high network priority; RAW addressing beyond 16 nodes)."""
-    st: ScomaState = sp.state["scoma"]
-    if st.wide:
-        yield from fw_send(sp, dst, payload, queue=SP_TX_PROTOCOL,
-                           raw_queue=SP_PROTOCOL_QUEUE)
-    else:
-        yield from fw_send(sp, vdst_for(dst, SP_PROTOCOL_QUEUE), payload,
-                           queue=SP_TX_PROTOCOL)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +154,10 @@ def handle_miss(sp: "ServiceProcessor", event: Tuple
     if home == sp.node_id:
         yield from home_request(sp, want_rw, line, sp.node_id)
     else:
-        yield from _send_proto(
-            sp, home, proto.pack_scoma_req(want_rw, line * st.line_bytes, sp.node_id))
+        yield from fw_send_to(
+            sp, home, SP_PROTOCOL_QUEUE,
+            proto.pack_scoma_req(want_rw, line * st.line_bytes, sp.node_id),
+            tx=SP_TX_PROTOCOL)
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +197,17 @@ def home_request(sp: "ServiceProcessor", want_rw: bool, line: int,
         targets = action[1]
         sp.stats.counter(f"{sp.name}.scoma_inv_sent").incr(len(targets))
         for sharer in targets:
-            yield from _send_proto(
-                sp, sharer, proto.pack_scoma_inv(line * st.line_bytes))
+            yield from fw_send_to(
+                sp, sharer, SP_PROTOCOL_QUEUE,
+                proto.pack_scoma_inv(line * st.line_bytes), tx=SP_TX_PROTOCOL)
         return
     if kind == "recall":
         owner, downgrade_to_ro = action[1], action[2]
-        yield from _send_proto(
-            sp, owner, proto.pack_scoma_wbreq(line * st.line_bytes,
-                                   downgrade_to_ro=downgrade_to_ro))
+        yield from fw_send_to(
+            sp, owner, SP_PROTOCOL_QUEUE,
+            proto.pack_scoma_wbreq(line * st.line_bytes,
+                                   downgrade_to_ro=downgrade_to_ro),
+            tx=SP_TX_PROTOCOL)
         return
     # ("grant", want_rw, requester, keep_ro): the directory has settled;
     # move the data and flip the state bits.
@@ -332,8 +315,8 @@ def handle_invalidate(sp: "ServiceProcessor", src: int, payload: bytes
     st: ScomaState = sp.state["scoma"]
     line = st.line_of_offset(offset)
     yield from _set_own_cls(sp, line, CLS_INVALID, kill_l2=True, cause="inv")
-    yield from _send_proto(
-        sp, src, proto.pack_scoma_invack(offset))
+    yield from fw_send_to(sp, src, SP_PROTOCOL_QUEUE,
+                          proto.pack_scoma_invack(offset), tx=SP_TX_PROTOCOL)
 
 
 def handle_invack(sp: "ServiceProcessor", src: int, payload: bytes
@@ -377,8 +360,8 @@ def handle_writeback_req(sp: "ServiceProcessor", src: int, payload: bytes
         LOCAL_CMDQ_0, CmdBusOp(BusOpType.FLUSH, frame, st.line_bytes)
     )
     data = yield from fw_dram_read(sp, frame, st.line_bytes, st.staging)
-    yield from _send_proto(
-        sp, src, proto.pack_scoma_wbdata(offset, data))
+    yield from fw_send_to(sp, src, SP_PROTOCOL_QUEUE,
+                          proto.pack_scoma_wbdata(offset, data), tx=SP_TX_PROTOCOL)
 
 
 def handle_writeback_data(sp: "ServiceProcessor", src: int, payload: bytes
@@ -448,8 +431,8 @@ def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
     if state == CLS_RO:
         yield from _set_own_cls(sp, line, CLS_INVALID, kill_l2=True,
                                 cause="evict")
-        yield from _send_proto(
-            sp, home, proto.pack_scoma_evict(offset))
+        yield from fw_send_to(sp, home, SP_PROTOCOL_QUEUE,
+                              proto.pack_scoma_evict(offset), tx=SP_TX_PROTOCOL)
     elif state == CLS_RW:
         # drop rights first (stores after the flip queue at the home),
         # flush newer L2 data into the frame, read it, ship it home
@@ -460,8 +443,9 @@ def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
         )
         data = yield from fw_dram_read(sp, st.frame_addr(line),
                                        st.line_bytes, st.staging)
-        yield from _send_proto(
-            sp, home, proto.pack_scoma_evict_dirty(offset, data))
+        yield from fw_send_to(sp, home, SP_PROTOCOL_QUEUE,
+                              proto.pack_scoma_evict_dirty(offset, data),
+                              tx=SP_TX_PROTOCOL)
     # INVALID/PENDING: nothing cached here; the request is a no-op
 
 

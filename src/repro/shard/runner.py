@@ -14,7 +14,10 @@ with a lower-bound-timestamp window barrier:
    where the lookahead is the Arctic wire latency (every cut channel —
    packets forward, credits backward — pays exactly one wire flight, so
    nothing committed during the window can arrive before ``B``).  Every
-   shard executes strictly below ``B`` and drains its outbox.
+   shard executes strictly below ``B`` and drains its outbox.  A
+   partition that cuts no channel (``shards=1``) has nothing to wait
+   for: its bound is unbounded, so each phase runs as one window through
+   the same dispatch loop as :meth:`~repro.sim.engine.Engine.run`.
 3. Repeat until every heap is empty and no message is in flight; then
    align all clocks on the global maximum and fire drain hooks.
 
@@ -124,6 +127,11 @@ class _InlineShard:
         pass
 
 
+#: the handle protocol: every op a coordinator may ask of a shard.
+_HANDLE_OPS = ("setup", "exchange", "window", "now", "advance", "finish",
+               "result", "channels")
+
+
 def _worker_main(conn, config: MachineConfig, plan: ShardPlan, shard: int,
                  scenario) -> None:
     """Process-backend worker: one shard, driven over a pipe.
@@ -139,29 +147,13 @@ def _worker_main(conn, config: MachineConfig, plan: ShardPlan, shard: int,
         return
     while True:
         op, *args = conn.recv()
+        if op == "exit":
+            conn.close()
+            return
         try:
-            if op == "exchange":
-                conn.send(("ok", inner.exchange(args[0])))
-            elif op == "window":
-                conn.send(("ok", inner.window(args[0])))
-            elif op == "setup":
-                inner.setup(args[0])
-                conn.send(("ok", None))
-            elif op == "now":
-                conn.send(("ok", inner.now()))
-            elif op == "advance":
-                inner.advance(args[0])
-                conn.send(("ok", None))
-            elif op == "finish":
-                inner.finish()
-                conn.send(("ok", None))
-            elif op == "result":
-                conn.send(("ok", inner.result()))
-            elif op == "channels":
-                conn.send(("ok", inner.channels()))
-            else:  # "exit"
-                conn.close()
-                return
+            if op not in _HANDLE_OPS:
+                raise SimulationError(f"unknown shard handle op {op!r}")
+            conn.send(("ok", getattr(inner, op)(*args)))
         except BaseException:
             conn.send(("error", traceback.format_exc()))
 
@@ -174,6 +166,7 @@ class _ProcessShard:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
+        self.shard = shard
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main, args=(child, config, plan, shard, scenario),
@@ -183,8 +176,15 @@ class _ProcessShard:
         child.close()
 
     def _call(self, op: str, *args: Any) -> Any:
-        self._conn.send((op, *args))
-        status, value = self._conn.recv()
+        try:
+            self._conn.send((op, *args))
+            status, value = self._conn.recv()
+        except (EOFError, OSError):
+            # the worker died without replying; reap it for its exit code
+            self._proc.join(timeout=30)
+            raise SimulationError(
+                f"shard {self.shard} worker exited "
+                f"(code {self._proc.exitcode})") from None
         if status == "error":
             raise SimulationError(f"shard worker failed:\n{value}")
         return value
@@ -274,7 +274,9 @@ class ShardedMachine:
 
     def _drive(self) -> None:
         """Run windows until the whole machine is quiescent."""
-        lookahead = self.plan.lookahead_ns
+        # with no cut channel nothing can arrive from another shard, so
+        # one window runs the phase to quiescence
+        lookahead = self.plan.lookahead_ns if self._rx_owner else INFINITY
         k = len(self.shards)
         inbound: List[List[BoundaryMessage]] = [[] for _ in range(k)]
         while True:

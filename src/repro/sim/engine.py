@@ -9,8 +9,12 @@ inspects ``kind``/``target``/``arg``.  Determinism is a hard requirement
 here: the whole point of the platform is comparing mechanisms, and noise
 from dict/heap tie-breaking would poison those comparisons.
 
-The ``kind`` field selects one of three inlined dispatch paths in the
-run loop (see DESIGN.md §"Simulation kernel fast paths"):
+Every public run method (:meth:`Engine.run`,
+:meth:`Engine.run_until_triggered`, :meth:`Engine.run_window`) is a thin
+wrapper over one private dispatch loop, :meth:`Engine._loop`, which
+executes items strictly below a time bound.  The ``kind`` field selects
+one of three inlined dispatch paths in that loop (see DESIGN.md
+§"Simulation kernel fast paths"):
 
 ====  ==============  =====================================================
 kind  name            meaning
@@ -31,6 +35,7 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import nextafter
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -53,8 +58,8 @@ ScheduledItem = Tuple[float, int, int, Any, Any]
 class SchedulePolicy:
     """Chooses which of several same-timestamp items runs next.
 
-    With a policy installed on :attr:`Engine.schedule_policy`, every run
-    loop turns a group of heap entries tied at the minimal timestamp
+    With a policy installed on :attr:`Engine.schedule_policy`, the
+    dispatch loop turns a group of heap entries tied at the minimal timestamp
     into an explicit *decision point*: the whole tie group is popped (in
     seq order, so ``ready[0]`` is what the default scheduler would run),
     :meth:`choose` picks one, and the rest re-enter the heap with their
@@ -103,8 +108,9 @@ class Engine:
         #: total scheduled items executed — the observability layer's
         #: measure of how much simulation work a run cost.
         self.events_executed = 0
-        #: wall-clock seconds spent inside run()/run_until_triggered();
-        #: with :attr:`events_executed` this yields the
+        #: wall-clock seconds spent in the dispatch loop, whichever of
+        #: run()/run_until_triggered()/run_window() entered it; with
+        #: :attr:`events_executed` this yields the
         #: :attr:`events_per_second` throughput gauge.
         self.wall_seconds = 0.0
         #: callables invoked whenever run() fully drains the heap — the
@@ -123,8 +129,8 @@ class Engine:
         #: scheduled items tied at one timestamp become explicit decision
         #: points (see :meth:`_pop_decision`).  ``None`` (the default)
         #: keeps the plain seq-ordered pop — the byte-identical fast
-        #: path.  Install before calling a run loop: the loops hoist the
-        #: attribute into a local once per call.
+        #: path.  Install before calling a run method: the dispatch loop
+        #: hoists the attribute into a local once per call.
         self.schedule_policy: Optional["SchedulePolicy"] = None
 
     # -- clock -----------------------------------------------------------
@@ -267,41 +273,8 @@ class Engine:
         fire: a drained shard heap mid-run only means the shard is idle
         until its next boundary injection.  Returns :meth:`peek_time`.
         """
-        heap = self._heap
-        crashes = self._crashes
-        policy = self.schedule_policy
-        executed = 0
-        t0 = perf_counter()
-        try:
-            while heap and heap[0][0] < until:
-                if policy is None:
-                    time, _seq, kind, target, arg = heappop(heap)
-                else:
-                    # every popped tie shares the first item's timestamp,
-                    # so the whole group satisfies the `< until` guard
-                    time, _seq, kind, target, arg = self._pop_decision(policy)
-                self._now = time
-                executed += 1
-                if kind == 2:  # KIND_CALLBACKS
-                    for cb in target:
-                        cb(arg)
-                elif kind == 1:  # KIND_SUCCEED
-                    if target._value is not _PENDING or target._exc is not None:
-                        raise SimulationError(f"event {target!r} triggered twice")
-                    target._value = arg
-                    callbacks = target._callbacks
-                    target._callbacks = None
-                    if callbacks:
-                        self._seq = seq = self._seq + 1
-                        heappush(heap, (time, seq, 2, callbacks, target))
-                else:  # KIND_CALL
-                    target()
-                if crashes and self.strict:
-                    raise self._crash_error()
-        finally:
-            self.events_executed += executed
-            self.wall_seconds += perf_counter() - t0
-        return heap[0][0] if heap else INFINITY
+        self._loop(until)
+        return self.peek_time()
 
     def advance_to(self, time: float) -> None:
         """Move an idle clock forward to ``time`` (inter-phase sync).
@@ -335,26 +308,69 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the heap drains or ``until`` is reached.
 
-        Returns the simulation time when execution stopped.  If a process
-        crashed with an unhandled exception and ``strict`` is set (the
-        default), the first crash is re-raised — silent process death is a
+        Items scheduled exactly at ``until`` still run.  Returns the
+        simulation time when execution stopped.  If a process crashed
+        with an unhandled exception and ``strict`` is set (the default),
+        the first crash is re-raised — silent process death is a
         debugging nightmare in a simulator of this size.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"cannot run until {until} < now {self._now}")
+        if until is None:
+            self._loop(INFINITY)
+        else:
+            if until < self._now:
+                raise SimulationError(f"cannot run until {until} < now {self._now}")
+            self._loop(nextafter(until, INFINITY))
+            self._now = until
+        if not self._heap:
+            for hook in self.drain_hooks:
+                hook()
+        return self._now
+
+    def run_until_triggered(self, ev: Event, limit: Optional[float] = None) -> Any:
+        """Run until ``ev`` triggers; return its value.
+
+        Raises :class:`DeadlockError` if the event queue drains first (a
+        deadlock from the waiter's perspective) or :class:`SimulationError`
+        when the time ``limit`` is hit.  When the deadlock watchdog is
+        installed, the drained-queue error carries its wait-for graph.
+        """
+        self._loop(INFINITY if limit is None else nextafter(limit, INFINITY), ev)
+        if not ev.triggered:
+            if self._heap:
+                raise SimulationError(f"time limit {limit} hit before {ev!r}")
+            msg = f"event queue drained before {ev!r} triggered (deadlock?)"
+            dump = self.deadlock_dump
+            if dump is not None:
+                detail = dump()
+                if detail:
+                    msg += "\n" + detail
+            raise DeadlockError(msg)
+        return ev.value
+
+    def _loop(self, bound: float, ev: Optional[Event] = None) -> None:
+        """The dispatch loop behind every public run method.
+
+        Executes items with ``time < bound`` (strictly) until the heap
+        drains, the next item lies at or past ``bound``, or ``ev`` (when
+        given) has triggered.  The schedule policy, the strict crash
+        check and the :attr:`events_executed`/:attr:`wall_seconds`
+        accounting live here and nowhere else.
+        """
         heap = self._heap
         crashes = self._crashes
         policy = self.schedule_policy
         executed = 0
         t0 = perf_counter()
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
+            while heap and heap[0][0] < bound:
+                if ev is not None and (ev._value is not _PENDING
+                                       or ev._exc is not None):
                     break
                 if policy is None:
                     time, _seq, kind, target, arg = heappop(heap)
                 else:
+                    # every popped tie shares the first item's timestamp,
+                    # so the whole group satisfies the `< bound` guard
                     time, _seq, kind, target, arg = self._pop_decision(policy)
                 self._now = time
                 executed += 1
@@ -375,67 +391,9 @@ class Engine:
                     target()
                 if crashes and self.strict:
                     raise self._crash_error()
-            else:
-                if until is not None:
-                    self._now = until
-                for hook in self.drain_hooks:
-                    hook()
         finally:
             self.events_executed += executed
             self.wall_seconds += perf_counter() - t0
-        return self._now
-
-    def run_until_triggered(self, ev: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``ev`` triggers; return its value.
-
-        Raises :class:`DeadlockError` if the event queue drains first (a
-        deadlock from the waiter's perspective) or :class:`SimulationError`
-        when the time ``limit`` is hit.  When the deadlock watchdog is
-        installed, the drained-queue error carries its wait-for graph.
-        """
-        heap = self._heap
-        crashes = self._crashes
-        policy = self.schedule_policy
-        executed = 0
-        t0 = perf_counter()
-        try:
-            while ev._value is _PENDING and ev._exc is None:  # not triggered
-                if not heap:
-                    msg = f"event queue drained before {ev!r} triggered (deadlock?)"
-                    dump = self.deadlock_dump
-                    if dump is not None:
-                        detail = dump()
-                        if detail:
-                            msg += "\n" + detail
-                    raise DeadlockError(msg)
-                if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(f"time limit {limit} hit before {ev!r}")
-                if policy is None:
-                    time, _seq, kind, target, arg = heappop(heap)
-                else:
-                    time, _seq, kind, target, arg = self._pop_decision(policy)
-                self._now = time
-                executed += 1
-                if kind == 2:  # KIND_CALLBACKS
-                    for cb in target:
-                        cb(arg)
-                elif kind == 1:  # KIND_SUCCEED
-                    if target._value is not _PENDING or target._exc is not None:
-                        raise SimulationError(f"event {target!r} triggered twice")
-                    target._value = arg
-                    callbacks = target._callbacks
-                    target._callbacks = None
-                    if callbacks:
-                        self._seq = seq = self._seq + 1
-                        heappush(heap, (time, seq, 2, callbacks, target))
-                else:  # KIND_CALL
-                    target()
-                if crashes and self.strict:
-                    raise self._crash_error()
-        finally:
-            self.events_executed += executed
-            self.wall_seconds += perf_counter() - t0
-        return ev.value
 
     # -- introspection -----------------------------------------------------
 

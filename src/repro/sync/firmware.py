@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.common.errors import FirmwareError
-from repro.firmware.base import fw_send, register_msg_handler
+from repro.firmware.base import fw_send_to, register_msg_handler
 from repro.firmware.proto import (
     DEQUE_POP,
     DEQUE_PUSH,
@@ -48,7 +48,6 @@ from repro.firmware.proto import (
     unpack_sync_req,
 )
 from repro.net.combine import OP_CSWAP, apply_op, unpack_tag
-from repro.niu.niu import SP_TX_GENERAL, needs_raw_addressing, vdst_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -71,10 +70,9 @@ class _CentralOp:
 class SyncFwState:
     """Per-node sync firmware state."""
 
-    __slots__ = ("wide", "cells", "central", "deques")
+    __slots__ = ("cells", "central", "deques")
 
-    def __init__(self, n_nodes: int) -> None:
-        self.wide = needs_raw_addressing(n_nodes)
+    def __init__(self) -> None:
         #: endpoint-mode cells homed here: (group, cell) -> value.
         self.cells: Dict[Tuple[int, int], int] = {}
         #: central collectives in flight: (group, seq) -> _CentralOp.
@@ -83,11 +81,11 @@ class SyncFwState:
         self.deques: Dict[int, List[int]] = {}
 
 
-def setup_sync(sp: "ServiceProcessor", n_nodes: int) -> None:
+def setup_sync(sp: "ServiceProcessor") -> None:
     """Install the sync firmware on one node's sP (idempotent)."""
     if "sync" in sp.state:
         return
-    sp.state["sync"] = SyncFwState(n_nodes)
+    sp.state["sync"] = SyncFwState()
     register_msg_handler(sp, MSG_SYNC_REQ, on_sync_req)
     register_msg_handler(sp, MSG_SYNC_CBAR, on_sync_cbar)
     register_msg_handler(sp, MSG_SYNC_INJECT, on_sync_inject)
@@ -97,7 +95,7 @@ def setup_sync(sp: "ServiceProcessor", n_nodes: int) -> None:
 def ensure_sync_firmware(machine) -> None:
     """Install the sync firmware cluster-wide (idempotent)."""
     for node in machine.nodes:
-        setup_sync(node.sp, machine.config.n_nodes)
+        setup_sync(node.sp)
 
 
 def _state(sp: "ServiceProcessor") -> SyncFwState:
@@ -105,18 +103,6 @@ def _state(sp: "ServiceProcessor") -> SyncFwState:
     if st is None:
         raise FirmwareError(f"{sp.name}: sync firmware not installed")
     return st
-
-
-def _sync_send(sp: "ServiceProcessor", st: SyncFwState, node: int,
-               queue: int, payload: bytes
-               ) -> Generator["Event", None, None]:
-    """One firmware message to (node, logical queue), wide-safe."""
-    if st.wide:
-        yield from fw_send(sp, node, payload, queue=SP_TX_GENERAL,
-                           raw_queue=queue)
-    else:
-        yield from fw_send(sp, vdst_for(node, queue), payload,
-                           queue=SP_TX_GENERAL)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +125,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         st.cells[key] = apply_op(op, old, value)
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
-    yield from _sync_send(sp, st, origin, reply_queue,
+    yield from fw_send_to(sp, origin, reply_queue,
                           pack_sync_rep(req, old))
 
 
@@ -166,7 +152,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     sp.stats.counter(f"{sp.name}.sync_central_ops").incr()
     rep = pack_sync_tree_rep(group, seq, pend.acc)
     for member, rq in pend.waiters:
-        yield from _sync_send(sp, st, member, rq, rep)
+        yield from fw_send_to(sp, member, rq, rep)
 
 
 def on_sync_inject(sp: "ServiceProcessor", src: int, payload: bytes
@@ -189,7 +175,7 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
     if verb == DEQUE_PUSH:
         dq.append(value)
         sp.stats.counter(f"{sp.name}.deque_pushes").incr()
-        yield from _sync_send(sp, st, origin, reply_queue,
+        yield from fw_send_to(sp, origin, reply_queue,
                               pack_sync_rep(req, len(dq)))
         return
     if verb == DEQUE_POP:
@@ -202,7 +188,7 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
             sp.stats.counter(f"{sp.name}.deque_steals").incr()
     else:
         raise FirmwareError(f"{sp.name}: unknown deque verb {verb}")
-    yield from _sync_send(sp, st, origin, reply_queue,
+    yield from fw_send_to(sp, origin, reply_queue,
                           pack_sync_rep(req, got, ok=ok))
 
 

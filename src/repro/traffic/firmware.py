@@ -35,16 +35,11 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 from repro.common.errors import FirmwareError
 from repro.firmware.base import (
     fw_dram_read,
-    fw_send,
+    fw_send_to,
     fw_wait,
     register_msg_handler,
 )
-from repro.niu.niu import (
-    SP_SERVICE_QUEUE,
-    SP_TX_GENERAL,
-    needs_raw_addressing,
-    vdst_for,
-)
+from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.traffic.wire import (
     KV_GET,
     KV_MISS,
@@ -87,12 +82,11 @@ _PUTREF_POLL_LIMIT = 256
 class TrafficState:
     """Per-node state for every traffic service."""
 
-    __slots__ = ("n_nodes", "wide", "store", "ps_weights", "ps_pending",
+    __slots__ = ("n_nodes", "store", "ps_weights", "ps_pending",
                  "usvc_pending", "usvc_next_ctx")
 
     def __init__(self, n_nodes: int) -> None:
         self.n_nodes = n_nodes
-        self.wide = needs_raw_addressing(n_nodes)
         #: the node's KV shard: key -> value bytes.
         self.store: Dict[int, bytes] = {}
         #: parameter-server weights: block -> integer weight.
@@ -110,17 +104,6 @@ def _state(sp: "ServiceProcessor") -> TrafficState:
         raise FirmwareError(
             f"traffic firmware not installed on node {sp.node_id}")
     return st
-
-
-def _t_send(sp: "ServiceProcessor", st: TrafficState, node: int, queue: int,
-            payload: bytes) -> Generator["Event", None, None]:
-    """Wide-safe reply/forward: byte-vdst below 17 nodes, RAW above."""
-    if st.wide:
-        yield from fw_send(sp, node, payload, queue=SP_TX_GENERAL,
-                           raw_queue=queue)
-    else:
-        yield from fw_send(sp, vdst_for(node, queue), payload,
-                           queue=SP_TX_GENERAL)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +133,7 @@ def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         raise FirmwareError(f"unknown KV op {op}")
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from _t_send(sp, st, origin, reply_q, rep)
+    yield from fw_send_to(sp, origin, reply_q, rep)
 
 
 def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
@@ -177,7 +160,7 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
             f"never rang (addr {addr:#x})")
     st.store[key] = data[:length]
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from _t_send(sp, st, origin, reply_q, pack_kv_rep(KV_OK, req_id))
+    yield from fw_send_to(sp, origin, reply_q, pack_kv_rep(KV_OK, req_id))
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +191,7 @@ def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
     # arrival ties whose queue order may differ across shard counts, so
     # replying in arrival order would break shard determinism
     for worker, queue in sorted(entry[1]):
-        yield from _t_send(sp, st, worker, queue, rep)
+        yield from fw_send_to(sp, worker, queue, rep)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +210,7 @@ def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
     yield sp.compute(sp.fw.usvc_dispatch_insns + svc_insns)
     sp.stats.counter(f"traffic.usvc.s{sp.node_id}.stages").incr()
     if depth == 0 or fanout == 0:
-        yield from _t_send(sp, st, origin, reply_q, pack_usvc_rep(ctx))
+        yield from fw_send_to(sp, origin, reply_q, pack_usvc_rep(ctx))
         return
     children = _usvc_children(sp.node_id, fanout, st.n_nodes)
     token = st.usvc_next_ctx
@@ -236,7 +219,7 @@ def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
     fwd = pack_usvc_req(depth - 1, fanout, SP_SERVICE_QUEUE, sp.node_id,
                         token, svc_insns)
     for child in children:
-        yield from _t_send(sp, st, child, SP_SERVICE_QUEUE, fwd)
+        yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, fwd)
 
 
 def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
@@ -252,7 +235,7 @@ def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
     if entry[0] > 0:
         return
     del st.usvc_pending[token]
-    yield from _t_send(sp, st, entry[1], entry[2], pack_usvc_rep(entry[3]))
+    yield from fw_send_to(sp, entry[1], entry[2], pack_usvc_rep(entry[3]))
 
 
 # ----------------------------------------------------------------------

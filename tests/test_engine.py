@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Engine, SchedulePolicy
+from repro.sim.engine import INFINITY, Engine, SchedulePolicy
 
 
 def test_time_starts_at_zero(engine):
@@ -113,6 +113,35 @@ def test_zero_delay_timeout_runs(engine):
     ev = engine.timeout(0.0, "now")
     assert engine.run_until_triggered(ev) == "now"
     assert engine.now == 0.0
+
+
+@pytest.mark.parametrize("method", ["run", "run_window", "run_until_triggered"])
+def test_item_exactly_at_the_bound(method):
+    """The three run methods share one loop but not one bound: run() and
+    run_until_triggered() execute an item at exactly their bound,
+    run_window() leaves it queued; drain hooks fire only when run()
+    drains the heap."""
+    eng = Engine()
+    hooks = []
+    eng.drain_hooks.append(lambda: hooks.append(eng.now))
+    at_bound = eng.timeout(10.0, "hit")
+    eng.timeout(20.0)  # keeps the heap non-empty past the bound
+    if method == "run":
+        assert eng.run(until=10.0) == 10.0
+        assert at_bound.triggered and eng.now == 10.0
+    elif method == "run_window":
+        assert eng.run_window(10.0) == 10.0
+        assert not at_bound.triggered and eng.now == 0.0
+    else:
+        assert eng.run_until_triggered(at_bound, limit=10.0) == "hit"
+        assert eng.now == 10.0
+    assert hooks == []  # stopping at a bound is not a drain
+    if method == "run_window":
+        assert eng.run_window(INFINITY) == INFINITY
+        assert hooks == []  # a drained window still fires no hooks
+    else:
+        assert eng.run() == 20.0
+        assert hooks == [20.0]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ backend.  These tests pin that down with ``shards=1`` as the baseline.
 """
 
 import json
+import os
 
 import pytest
 
@@ -185,3 +186,28 @@ def test_sharded_run_reports_plan_and_windows():
     assert run.plan["shards"] == 2
     assert [b for b in run.plan["blocks"]] == [[0, 4], [4, 8]]
     assert run.windows > 0
+
+
+@pytest.mark.parametrize("scn", [MixedScenario(rounds=2),
+                                 scenario("shm_takeover")],
+                         ids=lambda scn: scn.name)
+def test_uncut_machine_runs_one_window_per_phase(scn):
+    """With no cut channel there is nothing to wait for: a one-shard run
+    takes the engine's loop to quiescence once per phase."""
+    run = _run(scn, 1)
+    assert run.windows == scn.phases
+    assert 0 < run.plan["lookahead_ns"] < INFINITY  # still the wire latency
+
+
+class _DyingScenario(MixedScenario):
+    """Kills shard 1's worker process outright during setup."""
+
+    def setup(self, phase, machine, local_nodes, ctx):
+        if 0 not in local_nodes:
+            os._exit(3)
+        super().setup(phase, machine, local_nodes, ctx)
+
+
+def test_process_backend_reports_a_dead_worker():
+    with pytest.raises(SimulationError, match=r"shard 1 worker exited \(code 3\)"):
+        _run(_DyingScenario(), 2, backend="process")
